@@ -170,10 +170,6 @@ class AttackerContext:
     def budget_remaining(self) -> int:
         return self.f - len(self._corrupted_since)
 
-    def corrupted_since(self, node: int) -> float | None:
-        """Corruption time of ``node``, or ``None`` if honest."""
-        return self._corrupted_since.get(node)
-
     def controls_message(self, message: Message) -> bool:
         """True when the attacker legitimately controls ``message``:
         forged by it, or sent by a node corrupted strictly before the send.

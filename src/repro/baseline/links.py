@@ -54,11 +54,6 @@ class Link:
         self._free_at = start + serialization
         return PacketTiming(start=start, arrival=self._free_at + self.propagation)
 
-    @property
-    def free_at(self) -> float:
-        """Time at which the transmitter becomes idle."""
-        return self._free_at
-
 
 def packetize(message_bytes: int) -> list[int]:
     """Split a message into MTU-sized packet payloads (last one partial)."""

@@ -131,27 +131,6 @@ class EventQueue:
         heappush(self._heap, entry)
         return handle
 
-    def push_batch(self, events: "Iterable[Event]") -> None:
-        """Schedule many events in iteration order (one handle each).
-
-        Exactly equivalent to calling :meth:`push` per event — same handle
-        sequence, same tie-breaking — minus the per-call overhead.
-        """
-        entries = self._entries
-        heap = self._heap
-        handle = self._next_handle
-        try:
-            for event in events:
-                time = event.time
-                if time < 0:
-                    raise SchedulingError(f"event scheduled at negative time {time}")
-                entry = [time, handle, event, None]
-                entries[handle] = entry
-                heappush(heap, entry)
-                handle += 1
-        finally:
-            self._next_handle = handle
-
     def push_deliveries(
         self,
         event: "MessageEvent",

@@ -39,6 +39,10 @@ def deep_copy_payload(value: Any) -> Any:
     protocol payloads are made of (nested dicts / lists / tuples over
     scalars), but an order of magnitude faster because it dispatches on the
     exact container type instead of walking deepcopy's general machinery.
+    Containers are copied at C level (``dict.copy`` / ``list.copy``) and
+    only their non-atomic members are recursed into; an all-atomic tuple is
+    immutable all the way down and is returned as-is, as deepcopy does.
+    Every mutable container in the result is new; atomic leaves are shared.
     Unrecognised objects (custom classes, sets of mutables...) fall back to
     ``copy.deepcopy``, so arbitrary payload values remain supported.
     """
@@ -46,10 +50,18 @@ def deep_copy_payload(value: Any) -> Any:
     if cls in _ATOMIC_TYPES:
         return value
     if cls is dict:
-        return {key: deep_copy_payload(item) for key, item in value.items()}
+        copied = value.copy()
+        for key, item in value.items():
+            if type(item) not in _ATOMIC_TYPES:
+                copied[key] = deep_copy_payload(item)
+        return copied
     if cls is list:
+        if _ATOMIC_TYPES.issuperset(map(type, value)):
+            return value.copy()
         return [deep_copy_payload(item) for item in value]
     if cls is tuple:
+        if _ATOMIC_TYPES.issuperset(map(type, value)):
+            return value
         return tuple(deep_copy_payload(item) for item in value)
     return copy.deepcopy(value)
 

@@ -341,11 +341,6 @@ class RunFailure:
         )
 
 
-def is_failure(entry: Any) -> bool:
-    """True when a batch entry is a :class:`RunFailure`."""
-    return isinstance(entry, RunFailure)
-
-
 def deterministic_dict(result: SimulationResult, include_trace: bool = False) -> dict:
     """The deterministic fields of ``result`` as a JSON-friendly dict.
 

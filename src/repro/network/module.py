@@ -17,7 +17,7 @@ silently producing results under a stronger adversary than advertised.
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
@@ -79,18 +79,6 @@ class NetworkModule:
         self.faults = faults
         self._delay_override: Callable[[Message], float | None] | None = None
         self._profiler = controller.profiler
-        # Pre-computed "benign environment" flag: no environmental fault
-        # schedule and no profiler — both fixed at construction.  Combined
-        # with the per-message checks in ``_submit_single`` (a pass-through
-        # NullAttacker — exact class, since subclasses may override
-        # ``attack`` — zero corrupted nodes, tracing off), it selects a fast
-        # path that skips the attacker proxy/snapshot machinery, the fault
-        # engine, and the capability diffing entirely — none of which can
-        # have any effect in this configuration, and none of which consume
-        # RNG — so delay draws, event order, and all metrics stay
-        # byte-identical.  The attacker and trace state are re-checked per
-        # message because tests swap/toggle them after construction.
-        self._benign_env = faults is None and controller.profiler is None
         # Hot-path bindings: one delay draw and one queue push per message.
         self._sample_delay = self.delay_model.sample_delay
         self._counts = controller.metrics.counts
@@ -154,13 +142,81 @@ class NetworkModule:
                 # victim and is not bound by the honest relay discipline.
                 self._submit_disseminated(message, wire_bytes)
                 return
+            if not forged and self._benign():
+                self._fan_out(message, wire_bytes)
+                return
             submit_single = self._submit_single
-            for dest in range(self._controller.n):
+            for dest in range(controller.n):
                 single = message.copy_for(dest)
                 single.forged = forged
                 submit_single(single, wire_bytes)
         else:
             self._submit_single(message)
+
+    def _benign(self) -> bool:
+        """True when nothing can observe or alter an individual honest send.
+
+        That is: no environmental fault schedule, tracing off, no delay
+        override, a pass-through ``NullAttacker`` (exact class, since
+        subclasses may override ``attack``) and zero corrupted nodes.  The
+        fast tiers then skip the attacker proxy/snapshot machinery, the
+        fault engine and the capability diffing — none of which can have any
+        effect here, and none of which consume RNG — so delay draws, event
+        order and every metric stay byte-identical.  Evaluated per send,
+        because tests swap the attacker and toggle tracing mid-run.  The
+        profiler is deliberately not part of it: it times the fast tiers
+        rather than turning them off.
+        """
+        return (
+            self.faults is None
+            and not self._controller.trace.enabled
+            and self._delay_override is None
+            and type(self.attacker) is NullAttacker
+            and not self._attacker_ctx._corrupted_since
+        )
+
+    def _draw(self, sample: Callable[..., Any], *args: Any) -> Any:
+        """Call a delay sampler, timed under ``network.delay`` when profiling."""
+        prof = self._profiler
+        if prof is None:
+            return sample(*args)
+        t0 = _time.perf_counter()
+        delays = sample(*args)
+        prof.add("network.delay", t0)
+        return delays
+
+    def _fan_out(self, message: Message, wire_bytes: int) -> None:
+        """Benign full fan-out: one delay batch, one private copy per recipient.
+
+        Equivalent to submitting ``copy_for(dest)`` for every ``dest`` through
+        the unicast fast path — the same message ids, the same queue handles
+        (ascending ``dest`` order, one :meth:`EventQueue.push` each) and the
+        same RNG use, since one batched draw of ``n - 1`` delays is
+        stream-identical to ``n - 1`` scalar draws — minus the per-recipient
+        predicate checks, scalar draws and counter updates.  The loopback
+        copy takes no draw and delay 0 and, never crossing the wire, is not
+        counted as sent.
+        """
+        controller = self._controller
+        now = message.sent_at
+        source = message.source
+        n = controller.n
+        delays = iter(self._draw(self.delay_model.sample_delays, now, n - 1).tolist())
+        counts = self._counts
+        counts.sent += n - 1
+        counts.bytes_sent += (n - 1) * wire_bytes
+        obs = self._obs
+        if obs is not None:
+            for _ in range(n - 1):
+                obs.on_send(source, wire_bytes)
+        next_id = controller.next_message_id
+        push = self._push_event
+        copy_for = message.copy_for
+        for dest in range(n):
+            single = copy_for(dest)
+            single.msg_id = next_id()
+            single.delay = delay = 0.0 if dest == source else next(delays)
+            push(MessageEvent(time=now + delay, message=single))
 
     # -- dissemination (tree / gossip broadcasts) ----------------------------
 
@@ -187,16 +243,11 @@ class NetworkModule:
         h = plan.size
         if h == 0:
             return
-        offsets = plan.arrivals(self._dissemination_delays().sample_delays(now, h))
+        offsets = plan.arrivals(
+            self._draw(self._dissemination_delays().sample_delays, now, h)
+        )
 
-        trace = controller.trace
-        if (
-            self._benign_env
-            and not trace.enabled
-            and self._delay_override is None
-            and type(self.attacker) is NullAttacker
-            and not self._attacker_ctx._corrupted_since
-        ):
+        if self._benign():
             # Fast tier (same predicate as the unicast fast path): nothing
             # can observe or mutate individual copies, so ONE shared message
             # and ONE shared delivery event serve every recipient — the
@@ -332,17 +383,9 @@ class NetworkModule:
 
         if wire_bytes is None:
             wire_bytes = estimate_message_bytes(message)
-        trace = controller.trace
 
-        if (
-            self._benign_env
-            and not trace.enabled
-            and self._delay_override is None
-            and not message.forged
-            and type(self.attacker) is NullAttacker
-            and not self._attacker_ctx._corrupted_since
-        ):
-            # Fast path: benign attacker, no faults, no telemetry.  With no
+        if not message.forged and self._benign():
+            # Fast path: benign attacker, no faults, no tracing.  With no
             # corrupted nodes ``controls_message`` is always False: the send
             # is honest, the delay draw is the only RNG consumption, and the
             # delivery event is pushed directly.
@@ -354,12 +397,13 @@ class NetworkModule:
                 obs.on_send(message.source, wire_bytes)
             delay = message.delay
             if delay is None:
-                delay = message.delay = self._sample_delay(message.sent_at)
+                delay = message.delay = self._draw(self._sample_delay, message.sent_at)
             self._push_event(
                 MessageEvent(time=message.sent_at + delay, message=message)
             )
             return
 
+        trace = controller.trace
         byzantine = message.forged or self._attacker_ctx.controls_message(message)
         controller.metrics.on_sent(byzantine=byzantine)
         controller.metrics.on_bytes(wire_bytes)
@@ -410,12 +454,7 @@ class NetworkModule:
             if self._delay_override is not None:
                 message.delay = self._delay_override(message)
             if message.delay is None:
-                if prof is None:
-                    message.delay = self.delay_model.sample_delay(message.sent_at)
-                else:
-                    t0 = _time.perf_counter()
-                    message.delay = self.delay_model.sample_delay(message.sent_at)
-                    prof.add("network.delay", t0)
+                message.delay = self._draw(self._sample_delay, message.sent_at)
         if prof is None:
             survivors = self._run_attacker(message)
         else:

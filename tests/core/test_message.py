@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.message import BROADCAST, Message, payload_matches
+from repro.core.message import BROADCAST, Message, deep_copy_payload, payload_matches
 
 
 def test_type_from_payload():
@@ -47,6 +48,62 @@ class TestCopyFor:
     def test_copy_preserves_forged_flag(self):
         original = Message(0, BROADCAST, {}, forged=True)
         assert original.copy_for(1).forged is True
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4), st.binary(max_size=4),
+    st.floats(allow_nan=False),
+)
+_payload_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def _mutable_ids(value) -> set[int]:
+    """Ids of every dict and list reachable from ``value``."""
+    found = set()
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list)):
+            found.add(id(item))
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return found
+
+
+class TestDeepCopyPayload:
+    @settings(max_examples=200, deadline=None)
+    @given(value=_payload_values)
+    def test_copy_is_equal_and_shares_no_mutable_container(self, value):
+        copied = deep_copy_payload(value)
+        assert copied == value
+        assert type(copied) is type(value)
+        assert not _mutable_ids(copied) & _mutable_ids(value)
+
+    def test_all_atomic_tuple_is_returned_as_is(self):
+        value = (1, "a", None)
+        assert deep_copy_payload(value) is value
+
+    def test_tuple_holding_a_list_is_copied(self):
+        value = (1, [2, 3])
+        copied = deep_copy_payload(value)
+        assert copied == value and copied[1] is not value[1]
+
+    def test_unknown_objects_fall_back_to_deepcopy(self):
+        value = {"s": {1, 2}, "nested": [{3}]}
+        copied = deep_copy_payload(value)
+        assert copied == value
+        assert copied["s"] is not value["s"]
+        assert copied["nested"][0] is not value["nested"][0]
 
 
 def test_describe_is_informative():

@@ -10,6 +10,7 @@ from repro.core.config import NetworkConfig
 from repro.core.errors import ConfigurationError
 from repro.network.delays import (
     ConstantDelay,
+    DelaySampler,
     DelayModel,
     ExponentialDelay,
     LogNormalDelay,
@@ -132,3 +133,60 @@ def test_property_delays_respect_floor(mean, std, now):
     model = DelayModel(config, np.random.default_rng(0))
     for _ in range(20):
         assert model.sample_delay(now) >= 1.0
+
+
+class _TriangularDelay(DelaySampler):
+    """A custom sampler that keeps the default, looping ``sample_batch``."""
+
+    def __init__(self, mean: float, std: float) -> None:
+        self.mean = float(mean)
+        self.std = float(std)
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return float(rng.triangular(self.mean - self.std, self.mean, self.mean + self.std))
+
+
+if "test-triangular" not in available_distributions():
+    register_distribution("test-triangular", _TriangularDelay)
+
+
+class TestBatchedDraws:
+    """``sample_delays(now, k)`` is stream-identical to k ``sample_delay(now)``
+    calls — the contract that lets the broadcast fast tiers draw a whole
+    fan-out in one call without changing any run."""
+
+    @pytest.mark.parametrize(
+        "distribution",
+        ["constant", "uniform", "normal", "lognormal", "exponential", "poisson",
+         "test-triangular"],
+    )
+    @pytest.mark.parametrize("now", [0.0, 400.0, 500.0, 2_000.0])
+    def test_batch_equals_successive_scalar_draws(self, distribution, now):
+        config = NetworkConfig(
+            distribution=distribution, mean=100.0, std=30.0,
+            min_delay=80.0, max_delay=120.0, gst=500.0, pre_gst_factor=1.5,
+        )
+        scalar = DelayModel(config, np.random.default_rng(7))
+        batched = DelayModel(config, np.random.default_rng(7))
+        for size in (1, 5, 63):
+            expected = [scalar.sample_delay(now) for _ in range(size)]
+            assert batched.sample_delays(now, size).tolist() == expected
+        # Both generators were advanced by exactly the same amount.
+        assert scalar.sample_delay(now) == batched.sample_delays(now, 1)[0]
+
+    def test_custom_sampler_inherits_the_looping_batch(self):
+        assert "sample_batch" not in vars(_TriangularDelay)
+        sampler = make_sampler(NetworkConfig(distribution="test-triangular", mean=10.0, std=2.0))
+        assert isinstance(sampler, _TriangularDelay)
+
+    def test_bounds_bind_in_the_batch(self):
+        config = NetworkConfig(
+            distribution="normal", mean=100.0, std=60.0,
+            min_delay=80.0, max_delay=120.0, gst=500.0, pre_gst_factor=1.5,
+        )
+        model = DelayModel(config, np.random.default_rng(3))
+        after = model.sample_delays(600.0, 2_000)
+        assert after.min() == 80.0 and after.max() == 120.0
+        # Before GST the cap is lifted (inflated samples), the floor is not.
+        before = model.sample_delays(0.0, 2_000)
+        assert before.min() == 80.0 and before.max() > 120.0

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from time import perf_counter
 
-from repro.core.config import SimulationConfig
+import pytest
+
+from repro.core.config import NetworkConfig, SimulationConfig
+from repro.core.message import Message
+from repro.core.results import result_fingerprint
 from repro.core.runner import run_simulation
+from repro.network.delays import DelayModel
 from repro.observability.profiler import (
     ENGINE_SECTIONS,
     Profiler,
@@ -124,6 +130,44 @@ class TestProfiledRuns:
         result = run_simulation(config, profile=True)
         assert result.profile is not None
         assert "faults.apply" in result.profile.sections
+
+
+class TestNoObserverEffect:
+    """The profiler times the benign fast tiers; it never switches them off."""
+
+    @pytest.mark.parametrize("mode", ["full", "tree"])
+    def test_profiling_runs_the_same_code_path(self, mode, monkeypatch):
+        calls: Counter[str] = Counter()
+        for owner, name in (
+            (DelayModel, "sample_delay"),
+            (DelayModel, "sample_delays"),
+            (Message, "copy_for"),
+        ):
+            raw = getattr(owner, name)
+
+            def counted(*args, _raw=raw, _name=name, **kwargs):
+                calls[_name] += 1
+                return _raw(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        config = SimulationConfig(
+            protocol="pbft", n=16, seed=5,
+            network=NetworkConfig(mean=50.0, std=10.0, dissemination=mode),
+        )
+        plain = run_simulation(config)
+        plain_calls = dict(calls)
+        calls.clear()
+        profiled = run_simulation(config, profile=True)
+        assert result_fingerprint(profiled) == result_fingerprint(plain)
+        assert dict(calls) == plain_calls
+        assert plain_calls["sample_delays"] > 0
+        # Delay draws are timed on the fast tiers; nothing reaches the
+        # attacker hand-off in a benign run.
+        sections = profiled.profile.sections
+        assert sections["network.delay"].calls == (
+            plain_calls["sample_delays"] + plain_calls.get("sample_delay", 0)
+        )
+        assert "attacker.attack" not in sections
 
 
 class TestParallelProfileMerge:
