@@ -91,7 +91,7 @@ def measure_cell(protocol: str, n: int, mode: str, reps: int | None = None) -> d
     events = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        result = run_simulation(config, lineage=False)
+        result = run_simulation(config)
         times.append(time.perf_counter() - t0)
         if events is None:
             events = result.events_processed
@@ -113,7 +113,7 @@ def measure_peak(protocol: str, n: int, mode: str) -> dict:
     multiplies wall time several-fold, so timing cells never trace)."""
     config = _config(protocol, n, mode)
     tracemalloc.start()
-    result = run_simulation(config, lineage=False)
+    result = run_simulation(config)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return {"events": result.events_processed, "peak_mib": round(peak / 2**20, 1)}

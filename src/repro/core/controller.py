@@ -24,6 +24,7 @@ from ..faults.engine import FaultInjector
 from ..network.module import NetworkModule
 from ..observability.logging import SimLogger, get_logger
 from ..observability.signals import LiveSignals
+from ..observability.tap import ObserverTap
 from ..protocols.registry import get_protocol
 from .clock import SimulationClock
 from .config import SimulationConfig
@@ -64,29 +65,25 @@ class Controller:
             not part of the experiment's identity — the configuration, and
             therefore the determinism fingerprint, is untouched).
         profiler: optional hot-path
-            :class:`~repro.observability.profiler.Profiler`; when set, the
-            dispatch loop times its sections and the result carries a
-            :class:`~repro.observability.profiler.RunProfile` (outside the
-            fingerprint).  ``None`` (default) costs one branch per section.
+            :class:`~repro.observability.profiler.Profiler`; it wraps the
+            engine's timed callables once the run is built, and the result
+            carries a :class:`~repro.observability.profiler.RunProfile`.
         metrics: optional :class:`~repro.observability.metrics.MetricsRegistry`;
-            when set, the engine binds its standard instruments (queue depth,
-            in-flight messages, per-node wire bytes, delivery latency...) and
-            samples them on the simulated clock.  The result then carries a
-            :class:`~repro.observability.metrics.RunMetrics` (outside the
-            fingerprint).  Like the other telemetry arguments, this is a run
-            argument, never part of the experiment's identity.
-        lineage: when True (default), the controller tracks the causal id of
-            the event currently being dispatched so the network and trace
-            layers can stamp every message, timer, and decision with its
-            ``cause``.  Pure bookkeeping outside the RNG path — digests are
-            byte-identical either way; disable to shave the last f-string
-            per event off untraced hot loops.
+            it binds the standard engine instruments (queue depth, in-flight
+            messages, per-node wire bytes, delivery latency...), samples them
+            on the simulated clock, and the result carries a
+            :class:`~repro.observability.metrics.RunMetrics`.
         health: optional :class:`~repro.observability.health.HealthMonitor`;
-            when set, the dispatch loop feeds its O(1) anomaly detectors
-            and the result carries a
-            :class:`~repro.observability.health.HealthReport` (outside the
-            fingerprint).  OBSERVE-only and RNG-free, like the other
-            telemetry arguments.
+            its O(1) anomaly detectors run over rolling windows and the
+            result carries a :class:`~repro.observability.health.HealthReport`.
+
+    The engine reaches these observers (and the attacker's
+    :class:`~repro.observability.signals.LiveSignals`) only through one
+    :class:`~repro.observability.tap.ObserverTap`.  All of them are
+    OBSERVE-only and RNG-free run arguments, never part of the experiment's
+    identity: their outputs sit outside the determinism fingerprint.  When
+    the run is traced, every message, timer and decision is stamped with the
+    ``cause`` of the event being handled when it was created.
     """
 
     def __init__(
@@ -96,7 +93,6 @@ class Controller:
         sink: TraceSink | None = None,
         profiler: "Profiler | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        lineage: bool = True,
         health: "HealthMonitor | None" = None,
     ) -> None:
         config.validate()
@@ -123,19 +119,12 @@ class Controller:
             self.trace = Trace(enabled=True, sink=sink)
         else:
             self.trace = Trace(enabled=config.record_trace)
-        self.profiler = profiler
-        #: Simulated-time metrics registry (or None).  Must be set before
-        #: the NetworkModule below is built: the network binds it once at
-        #: construction for its send hook.
-        self.obs_metrics = metrics
-        #: Streaming run-health monitor (or None); bound at the end of
-        #: construction, once the workload ledger it samples exists.
-        self.health = health
-        self._lineage = lineage
         #: Causal id of the event currently being dispatched ("m<msg_id>",
         #: "t<timer_id>", "s<node>" during on_start, "a" during attacker
-        #: setup).  None before the run starts or when lineage is disabled.
+        #: setup).  Stamped only on traced runs (decided at run start), as
+        #: trace records are its only readers; None otherwise.
         self._current_cause: str | None = None
+        self._stamp_causes = False
         self.log = SimLogger(get_logger("controller"), clock=self.clock)
 
         self.attacker: Attacker = make_attacker(config.attack)
@@ -147,6 +136,11 @@ class Controller:
         )
         self.attacker_ctx = AttackerContext(self, self.attacker.capabilities)
         self.attacker.bind(self.attacker_ctx)
+        #: The one channel to every observer; the network binds its send
+        #: hooks at construction, so it must exist before the network.
+        self._tap = ObserverTap(
+            signals=self.signals, health=health, metrics=metrics, profiler=profiler
+        )
 
         self._timer_ids = iter(range(1, 1 << 62))
         self._message_ids = iter(range(1, 1 << 62))
@@ -170,9 +164,6 @@ class Controller:
             self.attacker_ctx,
             faults=self.fault_injector,
         )
-
-        if metrics is not None:
-            metrics.bind_engine(self)
 
         self.nodes: list[Node] = [protocol_cls(i, self) for i in range(self.n)]
         self._halted: set[int] = set()
@@ -205,14 +196,7 @@ class Controller:
         self._schedule_crash_events()
         if self._workload is not None:
             self._schedule_workload_events()
-        if health is not None:
-            health.bind_engine(self)
-        #: Fast-path binding (same idiom as MetricsRegistry's bound
-        #: instruments): deliveries bump the monitor's per-kind counter
-        #: dict directly instead of paying a method call per message.
-        #: ``close_window`` resets it with ``clear()``, so the shared
-        #: reference stays live across windows.
-        self._health_kinds = None if health is None else health._kind_in_window
+        self._tap.bind(self)
 
     # ------------------------------------------------------------------
     # NodeEnvironment facade
@@ -282,12 +266,8 @@ class Controller:
         self._termination_dirty = True
         self._last_progress = now
         self._node_activity[node_id] = now
-        if self.signals is not None:
-            self.signals.on_decide(node_id, now)
-        if self.obs_metrics is not None:
-            self.obs_metrics.on_decide()
-        if self.health is not None:
-            self.health.on_decide(node_id, now)
+        for on_decide in self._tap.decide:
+            on_decide(node_id, now)
         if self.trace.enabled:
             self.trace.record(
                 now, "decide", node_id,
@@ -303,8 +283,8 @@ class Controller:
         protocols terminate identically.  Live signals (attacker-requested
         only) accumulate per-view phase timings from the same annotations.
         """
-        if self.signals is not None:
-            self.signals.on_phase(
+        for on_phase in self._tap.phase:
+            on_phase(
                 node_id, phase, fields.get("view"), fields.get("height"),
                 self.clock.now,
             )
@@ -321,8 +301,8 @@ class Controller:
                 self._max_view = view
             # A view advance counts as liveness progress for the watchdog.
             self._last_progress = self.clock.now
-            if self.health is not None:
-                self.health.on_view(node_id, view, self.clock.now)
+            for on_view in self._tap.view:
+                on_view(node_id, view, self.clock.now)
         self._node_activity[node_id] = self.clock.now
         if self.trace.enabled:
             self.trace.record(self.clock.now, kind, node_id, **fields)
@@ -458,44 +438,29 @@ class Controller:
                 disabled, and ``allow_horizon`` is False.
             SafetyViolationError: two honest nodes disagreed.
         """
-        started = _time.perf_counter()
-        config = self.config
-        stall_timeout = config.stall_timeout
-        prof = self.profiler
-        obs = self.obs_metrics
-        health = self.health
-        lineage = self._lineage
-
         self.log.debug(
             "run starting",
-            protocol=config.protocol, n=self.n, f=self.f, seed=config.seed,
+            protocol=self.config.protocol, n=self.n, f=self.f, seed=self.config.seed,
         )
         try:
-            return self._run_to_completion(
-                started, config, stall_timeout, prof, obs, health, lineage
-            )
+            return self._run_to_completion()
         finally:
             # Closed on *every* exit path (safety violations, liveness
             # errors, protocol bugs) so a crashed run still leaves a
             # flushed, readable — truncated but valid — trace behind.
             self.trace.close()
 
-    def _run_to_completion(
-        self,
-        started: float,
-        config: SimulationConfig,
-        stall_timeout: float | None,
-        prof: "Profiler | None",
-        obs: "MetricsRegistry | None",
-        health: "HealthMonitor | None",
-        lineage: bool,
-    ) -> SimulationResult:
-        if lineage:
+    def _run_to_completion(self) -> SimulationResult:
+        started = _time.perf_counter()
+        config = self.config
+        stall_timeout = config.stall_timeout
+        stamp_causes = self._stamp_causes = self.trace.enabled
+        if stamp_causes:
             self._current_cause = "a"
         self.attacker.setup()
         for node in self.nodes:
             if node.id not in self._halted:
-                if lineage:
+                if stamp_causes:
                     self._current_cause = f"s{node.id}"
                 node.on_start()
 
@@ -518,10 +483,11 @@ class Controller:
         max_time = config.max_time
         max_events = config.max_events
         events_processed = self._events_processed
-        # The monitor's next window boundary, hoisted to a local float: the
-        # common iteration pays one compare instead of a method call into
-        # the monitor (its ``advance`` would just fail the same check).
-        health_boundary = math.inf if health is None else health._next_boundary
+        # The earliest window boundary over the windowed observers, hoisted
+        # to a local float: the common iteration pays one compare.  -inf
+        # makes the first event fetch every observer's first boundary.
+        advance = self._tap.advance
+        boundary = -math.inf if advance else math.inf
         try:
             while True:
                 # The termination predicate can only change when a decision
@@ -561,23 +527,15 @@ class Controller:
                 if events_processed >= max_events:
                     self._stop_reason = f"max_events={max_events} reached"
                     break
-                if prof is None:
-                    entry = pop_entry()
-                else:
-                    t0 = _time.perf_counter()
-                    entry = pop_entry()
-                    prof.add("queue.pop", t0)
+                entry = pop_entry()
                 event_time = entry[0]
                 advance_to(event_time)
                 events_processed += 1
                 # Window closes happen *before* the boundary-crossing
                 # event's own trace lines — the ordering contract behind
                 # online == offline health replay.
-                if event_time >= health_boundary:
-                    health.advance(event_time)
-                    health_boundary = health._next_boundary
-                if obs is not None:
-                    obs.advance(event_time)
+                if event_time >= boundary:
+                    boundary = min([step(event_time) for step in advance])
                 dispatch(entry[2], event_time, entry[3])
         finally:
             self._events_processed = events_processed
@@ -597,10 +555,8 @@ class Controller:
                 f"(decisions: { {i: self.metrics.decisions_of(i) for i in range(self.n)} })"
             )
         self.metrics.finish(self.clock.now)
-        if health is not None:
-            health.finish(self.clock.now)
-        if obs is not None:
-            obs.finish(self.clock.now)
+        for finish in self._tap.finish:
+            finish(self.clock.now)
         wall = _time.perf_counter() - started
         self.log.debug(
             "run finished",
@@ -626,7 +582,7 @@ class Controller:
             message = event.message
             if dest is None:
                 dest = message.dest
-            if self._lineage:
+            if self._stamp_causes:
                 # Everything sent or scheduled while this delivery is being
                 # handled was caused by this message.
                 self._current_cause = f"m{message.msg_id}"
@@ -665,15 +621,11 @@ class Controller:
             self._last_progress = event_time
             if self._watchdog:
                 self._node_activity[dest] = event_time
-            if self.signals is not None:
-                self.signals.on_deliver(
-                    dest, message.source, event_time, message.type
+            for on_deliver in self._tap.deliver:
+                on_deliver(
+                    dest, message.source, event_time, message.type,
+                    event_time - message.sent_at,
                 )
-            if self.obs_metrics is not None:
-                self.obs_metrics.on_deliver(event_time - message.sent_at)
-            health_kinds = self._health_kinds
-            if health_kinds is not None:
-                health_kinds[message.type] += 1
             trace = self.trace
             if trace.enabled:
                 # Deliveries carry the message's own cause plus its slot/view
@@ -688,25 +640,13 @@ class Controller:
                     slot=payload.get("slot", payload.get("height")),
                     view=payload.get("view", payload.get("round")),
                 )
-            prof = self.profiler
-            if prof is None:
-                self.nodes[dest].on_message(message)
-            else:
-                t0 = _time.perf_counter()
-                self.nodes[dest].on_message(message)
-                prof.add("protocol.on_message", t0)
+            self.nodes[dest].on_message(message)
         elif type(event) is TimeEvent:
-            if self._lineage:
+            if self._stamp_causes:
                 self._current_cause = f"t{event.timer_id}"
             owner = event.owner
             if owner == ATTACKER_OWNER:
-                prof = self.profiler
-                if prof is None:
-                    self.attacker.on_timer(event)
-                else:
-                    t0 = _time.perf_counter()
-                    self.attacker.on_timer(event)
-                    prof.add("attacker.timer", t0)
+                self.attacker.on_timer(event)
                 return
             if owner == CONTROLLER_OWNER:
                 self._on_env_event(event)
@@ -721,13 +661,7 @@ class Controller:
                     event_time, "timer", owner,
                     name=event.name, timer_id=event.timer_id, cause=event.cause,
                 )
-            prof = self.profiler
-            if prof is None:
-                self.nodes[owner].on_timer(event)
-            else:
-                t0 = _time.perf_counter()
-                self.nodes[owner].on_timer(event)
-                prof.add("protocol.on_timer", t0)
+            self.nodes[owner].on_timer(event)
         else:  # pragma: no cover - no other event kinds exist
             raise ConfigurationError(f"unknown event type {type(event).__name__}")
 
@@ -776,20 +710,6 @@ class Controller:
         decided_values = {
             slot: metrics.decided_value(slot) for slot in metrics.decided_slots()
         }
-        profile = None
-        if self.profiler is not None:
-            profile = self.profiler.build(
-                wall_seconds=wall,
-                events=self._events_processed,
-                sim_time_ms=self.clock.now,
-            )
-        run_metrics = None
-        if self.obs_metrics is not None:
-            run_metrics = self.obs_metrics.build(sim_time_ms=self.clock.now)
-        signals_summary = None
-        if self.signals is not None:
-            self.signals.finish(self.clock.now)
-            signals_summary = self.signals.summary_dict()
         return SimulationResult(
             config=self.config,
             terminated=terminated,
@@ -807,13 +727,10 @@ class Controller:
             trace=self.trace,
             fault_counts=metrics.faults,
             stall=self._stall,
-            profile=profile,
-            run_metrics=run_metrics,
-            signals_summary=signals_summary,
             workload=(
                 self._workload.build(self.clock.now)
                 if self._workload is not None
                 else None
             ),
-            health=self.health.report() if self.health is not None else None,
+            **self._tap.results(wall, self._events_processed, self.clock.now),
         )

@@ -104,7 +104,8 @@ class EventQueue:
     event-only view.
     """
 
-    __slots__ = ("_heap", "_entries", "_next_handle")
+    # ``__dict__`` lets the profiler shadow ``pop_entry`` on one instance.
+    __slots__ = ("_heap", "_entries", "_next_handle", "__dict__")
 
     def __init__(self) -> None:
         self._heap: list[list] = []

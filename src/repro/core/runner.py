@@ -18,7 +18,7 @@ vectorized delay batch instead of per-recipient copies; see
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from ..observability.health import DEFAULT_WINDOW_MS, HealthMonitor
 from ..observability.metrics import DEFAULT_INTERVAL_MS, MetricsRegistry
@@ -28,6 +28,8 @@ from .controller import Controller
 from .errors import ExperimentFailureError
 from .results import RunFailure, SimulationResult
 from .tracing import TraceSink
+
+T = TypeVar("T")
 
 #: Allowed ``on_error`` policies for batched runs.
 ON_ERROR_POLICIES = ("raise", "record")
@@ -39,7 +41,6 @@ def run_simulation(
     sink: TraceSink | None = None,
     profile: bool = False,
     metrics: bool | float = False,
-    lineage: bool = True,
     health: bool | float = False,
 ) -> SimulationResult:
     """Build a controller for ``config``, run it, return the result.
@@ -47,14 +48,20 @@ def run_simulation(
     The run is a deterministic function of ``config`` (including its seed):
     calling this twice with an equal configuration yields identical results,
     event counts, and traces.  The telemetry keywords never change what the
-    run computes — ``result_fingerprint`` is identical with them on or off.
+    run computes — ``result_fingerprint`` is identical with them on or off:
+    the engine reaches every observer through one
+    :class:`~repro.observability.tap.ObserverTap` and runs the same code
+    path whichever of them listen.
 
     Args:
         config: the run's configuration.
         sink: optional :class:`~repro.core.tracing.TraceSink` to stream the
             run's trace into (e.g. a
             :class:`~repro.observability.sinks.JsonlSink`); enables tracing
-            regardless of ``config.record_trace``.
+            regardless of ``config.record_trace``.  A traced run stamps
+            every message, timer and decision with the id of the event
+            being handled when it was created, so its trace carries the
+            causal DAG behind :mod:`repro.observability.causality`.
         profile: time the engine's hot sections and attach a
             :class:`~repro.observability.profiler.RunProfile` to
             ``result.profile``.
@@ -64,10 +71,6 @@ def run_simulation(
             ``result.run_metrics``.  ``True`` samples every
             ``DEFAULT_INTERVAL_MS``; a float sets the sampling interval in
             simulated milliseconds.
-        lineage: stamp every message and timer with the id of the event
-            being handled when it was created, so traces carry the causal
-            DAG behind :mod:`repro.observability.causality`.  On by default
-            (zero RNG cost; adds trace fields only).
         health: run the streaming anomaly detectors
             (:class:`~repro.observability.health.HealthMonitor`) and attach
             a :class:`~repro.observability.health.HealthReport` to
@@ -75,31 +78,20 @@ def run_simulation(
             ``DEFAULT_WINDOW_MS``; a float sets the window width in
             simulated milliseconds.
     """
-    profiler = Profiler() if profile else None
-    registry = _metrics_registry(metrics)
-    monitor = _health_monitor(health)
     return Controller(
-        config, sink=sink, profiler=profiler, metrics=registry,
-        lineage=lineage, health=monitor,
+        config,
+        sink=sink,
+        profiler=Profiler() if profile else None,
+        metrics=_windowed(metrics, MetricsRegistry, DEFAULT_INTERVAL_MS),
+        health=_windowed(health, HealthMonitor, DEFAULT_WINDOW_MS),
     ).run()
 
 
-def _metrics_registry(metrics: bool | float) -> MetricsRegistry | None:
-    """Resolve the ``metrics`` run option into a registry (or ``None``)."""
-    if metrics is False:
+def _windowed(option: bool | float, make: Callable[[float], T], default: float) -> T | None:
+    """Resolve a ``False | True | window_ms`` run option into an observer."""
+    if option is False:
         return None
-    if metrics is True:
-        return MetricsRegistry(interval=DEFAULT_INTERVAL_MS)
-    return MetricsRegistry(interval=float(metrics))
-
-
-def _health_monitor(health: bool | float) -> HealthMonitor | None:
-    """Resolve the ``health`` run option into a monitor (or ``None``)."""
-    if health is False:
-        return None
-    if health is True:
-        return HealthMonitor(window_ms=DEFAULT_WINDOW_MS)
-    return HealthMonitor(window_ms=float(health))
+    return make(default if option is True else float(option))
 
 
 def seed_window(

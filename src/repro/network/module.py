@@ -16,8 +16,7 @@ silently producing results under a stronger adversary than advertised.
 
 from __future__ import annotations
 
-import time as _time
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -78,21 +77,23 @@ class NetworkModule:
         self._attacker_ctx = attacker_ctx
         self.faults = faults
         self._delay_override: Callable[[Message], float | None] | None = None
-        self._profiler = controller.profiler
-        # Hot-path bindings: one delay draw and one queue push per message.
-        self._sample_delay = self.delay_model.sample_delay
+        # Hot-path bindings: one queue push per message, and the observer
+        # tap's send hooks (an empty tuple when nothing observes sends).
         self._counts = controller.metrics.counts
         self._push_event = controller.queue.push
-        # Simulated-time metrics registry (or None), bound once: like the
-        # profiler it is fixed for the controller's lifetime.
-        self._obs = controller.obs_metrics
-        # Dissemination overlay state (tree/gossip modes only).  The shape
-        # cache and the two dedicated RNG substreams are created lazily on
-        # the first disseminated broadcast, so ``mode="full"`` runs issue no
-        # new substreams and stay byte-identical to older versions.
+        self._on_send = controller._tap.send
+        # Dissemination overlay state (tree/gossip modes only).  The hop
+        # delays come from their own ``network.dissemination`` substream
+        # (substreams are derived by name, so creating it up front draws
+        # nothing); ``mode="full"`` runs never issue it.  The shape cache
+        # and the gossip substream are created on first use.
         self._mode = config.dissemination
+        self.dissemination_model: DelayModel | None = (
+            None
+            if self._mode == "full"
+            else DelayModel(config, controller.random_source.numpy("network.dissemination"))
+        )
         self._shape_obj: TreeShape | None = None
-        self._diss_model: DelayModel | None = None
         self._gossip_rng: np.random.Generator | None = None
         self._linkdown_specs = (
             [s for s in faults.schedule.specs if s.kind == "link-down"]
@@ -104,11 +105,12 @@ class NetworkModule:
         """Install (or clear) a delay-override hook.
 
         When set, the hook is consulted before the delay model for every
-        message that still needs a delay; returning a value in ms uses it
-        verbatim, returning ``None`` falls through to the configured
-        distribution.  This is the supported way to pin transit delays from
-        outside — the replay validator uses it to impose recorded delays —
-        replacing ad-hoc monkey-patching of internals.
+        message that still needs a delay — attacker-forged ones included;
+        returning a value in ms uses it verbatim, returning ``None`` falls
+        through to the configured distribution.  This is the supported way
+        to pin transit delays from outside — the replay validator uses it to
+        impose recorded delays — replacing ad-hoc monkey-patching of
+        internals.
         """
         self._delay_override = hook
 
@@ -163,9 +165,10 @@ class NetworkModule:
         fault engine and the capability diffing — none of which can have any
         effect here, and none of which consume RNG — so delay draws, event
         order and every metric stay byte-identical.  Evaluated per send,
-        because tests swap the attacker and toggle tracing mid-run.  The
-        profiler is deliberately not part of it: it times the fast tiers
-        rather than turning them off.
+        because tests swap the attacker and toggle tracing mid-run.
+        Observers are not part of it: both tiers publish sends through the
+        same observer tap, and the profiler wraps the delay models and the
+        attacker in place, so no observer can choose a tier.
         """
         return (
             self.faults is None
@@ -174,16 +177,6 @@ class NetworkModule:
             and type(self.attacker) is NullAttacker
             and not self._attacker_ctx._corrupted_since
         )
-
-    def _draw(self, sample: Callable[..., Any], *args: Any) -> Any:
-        """Call a delay sampler, timed under ``network.delay`` when profiling."""
-        prof = self._profiler
-        if prof is None:
-            return sample(*args)
-        t0 = _time.perf_counter()
-        delays = sample(*args)
-        prof.add("network.delay", t0)
-        return delays
 
     def _fan_out(self, message: Message, wire_bytes: int) -> None:
         """Benign full fan-out: one delay batch, one private copy per recipient.
@@ -201,14 +194,13 @@ class NetworkModule:
         now = message.sent_at
         source = message.source
         n = controller.n
-        delays = iter(self._draw(self.delay_model.sample_delays, now, n - 1).tolist())
+        delays = iter(self.delay_model.sample_delays(now, n - 1).tolist())
         counts = self._counts
         counts.sent += n - 1
         counts.bytes_sent += (n - 1) * wire_bytes
-        obs = self._obs
-        if obs is not None:
+        for on_send in self._on_send:
             for _ in range(n - 1):
-                obs.on_send(source, wire_bytes)
+                on_send(source, wire_bytes)
         next_id = controller.next_message_id
         push = self._push_event
         copy_for = message.copy_for
@@ -243,9 +235,7 @@ class NetworkModule:
         h = plan.size
         if h == 0:
             return
-        offsets = plan.arrivals(
-            self._draw(self._dissemination_delays().sample_delays, now, h)
-        )
+        offsets = plan.arrivals(self.dissemination_model.sample_delays(now, h))
 
         if self._benign():
             # Fast tier (same predicate as the unicast fast path): nothing
@@ -259,9 +249,7 @@ class NetworkModule:
             counts = self._counts
             counts.sent += h
             counts.bytes_sent += h * wire_bytes
-            obs = self._obs
-            if obs is not None:
-                on_send = obs.on_send
+            for on_send in self._on_send:
                 for relay in plan.relays.tolist():
                     on_send(relay, wire_bytes)
             controller.queue.push_deliveries(
@@ -360,15 +348,6 @@ class NetworkModule:
             )
         return rng
 
-    def _dissemination_delays(self) -> DelayModel:
-        model = self._diss_model
-        if model is None:
-            model = self._diss_model = DelayModel(
-                self.config,
-                self._controller.random_source.numpy("network.dissemination"),
-            )
-        return model
-
     # -- internals ----------------------------------------------------------
 
     def _submit_single(self, message: Message, wire_bytes: int | None = None) -> None:
@@ -392,12 +371,11 @@ class NetworkModule:
             counts = self._counts
             counts.sent += 1
             counts.bytes_sent += wire_bytes
-            obs = self._obs
-            if obs is not None:
-                obs.on_send(message.source, wire_bytes)
+            for on_send in self._on_send:
+                on_send(message.source, wire_bytes)
             delay = message.delay
             if delay is None:
-                delay = message.delay = self._draw(self._sample_delay, message.sent_at)
+                delay = message.delay = self.delay_model.sample_delay(message.sent_at)
             self._push_event(
                 MessageEvent(time=message.sent_at + delay, message=message)
             )
@@ -410,16 +388,13 @@ class NetworkModule:
         # Wire accounting is charged to the physical transmitter: the relay
         # for dissemination hops, the protocol-level source otherwise.
         relay = message.relay_from
-        if self._obs is not None:
-            self._obs.on_send(relay if relay is not None else message.source, wire_bytes)
+        for on_send in self._on_send:
+            on_send(message.source if relay is None else relay, wire_bytes)
         if trace.enabled:
-            payload = message.payload
-            slot = payload.get("slot", payload.get("height"))
-            view = payload.get("view", payload.get("round"))
-            # Dissemination hops additionally record the relaying node; the
-            # field is omitted entirely in full mode so existing trace
-            # consumers and golden traces see unchanged records.
-            extra = {} if relay is None else {"relay": relay}
+            fields = {
+                "dest": message.dest, "msg_type": message.type,
+                "msg_id": message.msg_id, "size": wire_bytes,
+            }
             if byzantine:
                 # Tagged so trace consumers (``repro inspect``) can reproduce
                 # the honest/byzantine split of MessageCounts from the trace.
@@ -427,55 +402,38 @@ class NetworkModule:
                 # origin="attacker": a forged send has no honest counterpart,
                 # so lineage and message-usage reconciliation must be able to
                 # tell insertion from corruption of an honest sender.
+                fields["byzantine"] = True
                 if message.forged:
-                    trace.record(
-                        controller.clock.now, "send", message.source,
-                        dest=message.dest, msg_type=message.type,
-                        msg_id=message.msg_id, size=wire_bytes, byzantine=True,
-                        origin="attacker", cause=message.cause,
-                        slot=slot, view=view, **extra,
-                    )
-                else:
-                    trace.record(
-                        controller.clock.now, "send", message.source,
-                        dest=message.dest, msg_type=message.type,
-                        msg_id=message.msg_id, size=wire_bytes, byzantine=True,
-                        cause=message.cause, slot=slot, view=view, **extra,
-                    )
-            else:
-                trace.record(
-                    controller.clock.now, "send", message.source,
-                    dest=message.dest, msg_type=message.type, msg_id=message.msg_id,
-                    size=wire_bytes, cause=message.cause, slot=slot, view=view,
-                    **extra,
-                )
-        prof = self._profiler
-        if message.delay is None:
-            if self._delay_override is not None:
-                message.delay = self._delay_override(message)
-            if message.delay is None:
-                message.delay = self._draw(self._sample_delay, message.sent_at)
-        if prof is None:
-            survivors = self._run_attacker(message)
-        else:
-            t0 = _time.perf_counter()
-            survivors = self._run_attacker(message)
-            prof.add("attacker.attack", t0)
-        for survivor in survivors:
+                    fields["origin"] = "attacker"
+            payload = message.payload
+            fields.update(
+                cause=message.cause,
+                slot=payload.get("slot", payload.get("height")),
+                view=payload.get("view", payload.get("round")),
+            )
+            # Dissemination hops additionally record the relaying node; the
+            # field is omitted entirely in full mode so existing trace
+            # consumers and golden traces see unchanged records.
+            if relay is not None:
+                fields["relay"] = relay
+            trace.record(controller.clock.now, "send", message.source, **fields)
+        self._assign_delay(message)
+        for survivor in self._run_attacker(message):
             if self.faults is None:
                 controller.schedule_delivery(survivor)
             else:
                 # Environmental faults act after the adversary: the attacker
                 # has no visibility into (or control over) what the benign
                 # environment then loses, duplicates, corrupts, or re-times.
-                if prof is None:
-                    delivered_batch = self.faults.apply(survivor)
-                else:
-                    t0 = _time.perf_counter()
-                    delivered_batch = self.faults.apply(survivor)
-                    prof.add("faults.apply", t0)
-                for delivered in delivered_batch:
+                for delivered in self.faults.apply(survivor):
                     controller.schedule_delivery(delivered)
+
+    def _assign_delay(self, message: Message) -> None:
+        """Give a message still lacking a delay one: override, then model."""
+        if message.delay is None and self._delay_override is not None:
+            message.delay = self._delay_override(message)
+        if message.delay is None:
+            message.delay = self.delay_model.sample_delay(message.sent_at)
 
     def _run_attacker(self, message: Message) -> Iterable[Message]:
         """Pass one message through the attacker and enforce capabilities."""
@@ -518,12 +476,11 @@ class NetworkModule:
                     self._apply_kept(message, proxy, item, snapshot_payload, snapshot_delay)
                 )
             elif item.forged:
-                if item.delay is None:
-                    item.delay = self.delay_model.sample_delay(item.sent_at)
+                self._assign_delay(item)
                 survivors.append(item)
                 self._controller.metrics.on_sent(byzantine=True)
-                if self._obs is not None:
-                    self._obs.on_send(item.source, 0)
+                for on_send in self._on_send:
+                    on_send(item.source, 0)
                 if self._controller.trace.enabled:
                     if item.cause is None:
                         item.cause = self._controller._current_cause

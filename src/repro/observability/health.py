@@ -4,9 +4,10 @@ Every analyzer the repo had before this module (causality DAG, phase
 breakdowns, quorum timelines) runs *post-hoc* on a finished trace; a
 million-event fleet run gives no signal until it ends.  The
 :class:`HealthMonitor` closes that gap: O(1)-per-event rolling-window
-detectors fed straight from the controller dispatch loop, reusing the
-same hook plumbing as :class:`~repro.observability.signals.LiveSignals`
-and the :class:`~repro.observability.metrics.MetricsRegistry`.
+detectors fed through the engine's observer tap
+(:mod:`repro.observability.tap`), like
+:class:`~repro.observability.signals.LiveSignals` and the
+:class:`~repro.observability.metrics.MetricsRegistry`.
 
 Determinism contract
 --------------------
@@ -73,11 +74,13 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.controller import Controller
     from ..core.tracing import Trace
+    from .metrics import MetricsRegistry
 
 __all__ = [
     "DEFAULT_WINDOW_MS",
@@ -239,7 +242,7 @@ class HealthMonitor:
         "_kind_in_window", "_kind_ewma", "_depths", "_counts",
         "_min_fairness", "_last_fairness",
         "_window_start", "_next_boundary",
-        "_queue", "_workload", "_trace", "_message_event_type",
+        "_in_flight", "_workload", "_trace",
     )
 
     def __init__(
@@ -281,8 +284,7 @@ class HealthMonitor:
         self._views_in_window = 0
         self._views_entered: set[int] = set()
         self._view_nodes: dict[int, int] = {}
-        # defaultdict so the engine's fast-path binding (and on_deliver)
-        # count with one C-level ``counts[kind] += 1``.
+        # defaultdict so on_deliver counts with one ``counts[kind] += 1``.
         self._kind_in_window: dict[str, int] = defaultdict(int)
         self._kind_ewma: dict[str, float] = {}
         self._depths: list[float] = []
@@ -291,10 +293,9 @@ class HealthMonitor:
         self._last_fairness = 1.0
         self._window_start = 0.0
         self._next_boundary = self.window_ms
-        self._queue = None
+        self._in_flight: Callable[[], int] | None = None
         self._workload = None
         self._trace: "Trace | None" = None
-        self._message_event_type: type | None = None
 
     # ------------------------------------------------------------------
     # binding
@@ -304,34 +305,33 @@ class HealthMonitor:
         self.n = n
         self._decided_per_node = [0] * n
 
-    def bind_engine(self, controller: "Controller") -> None:
+    def bind_engine(
+        self, controller: "Controller", registry: "MetricsRegistry | None" = None
+    ) -> None:
         """Attach to a live controller: engine sampling + trace emission.
 
-        When a :class:`~repro.observability.metrics.MetricsRegistry` is
-        also active, registers ``health_anomalies`` and (on workload
-        runs) ``workload_fairness`` gauges so anomaly and fairness
-        series land in every metrics export, Prometheus included.
+        When the run's :class:`~repro.observability.metrics.MetricsRegistry`
+        is passed, registers ``health_anomalies`` and (on workload runs)
+        ``workload_fairness`` gauges so anomaly and fairness series land in
+        every metrics export, Prometheus included.
         """
         from ..core.events import MessageEvent
 
         self.bind(controller.n)
-        self._queue = controller.queue
+        self._in_flight = partial(controller.queue.live_count, MessageEvent)
         self._workload = controller._workload
         self._trace = controller.trace
-        self._message_event_type = MessageEvent
-        registry = controller.obs_metrics
         if registry is not None:
             registry.gauge("health_anomalies", lambda: float(len(self.events)))
             if self._workload is not None:
                 registry.gauge("workload_fairness", lambda: self._last_fairness)
 
     # ------------------------------------------------------------------
-    # O(1) per-event hooks (controller dispatch loop)
+    # O(1) per-event hooks (observer tap; replay_health calls the same ones)
 
-    def on_deliver(self, dest: int, source: int, kind: str, now: float) -> None:
-        # The live engine inlines this body via a fast-path binding to
-        # ``_kind_in_window`` (see Controller.__init__); the hook itself
-        # is the replay entry point and must stay equivalent.
+    def on_deliver(
+        self, dest: int, source: int, now: float, kind: str, latency: float = 0.0
+    ) -> None:
         self._kind_in_window[kind] += 1
 
     def on_decide(self, node: int, now: float) -> None:
@@ -347,11 +347,12 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     # window lifecycle
 
-    def advance(self, now: float) -> None:
-        """Close every window boundary at or before ``now`` (live path)."""
+    def advance(self, now: float) -> float:
+        """Close every window boundary at or before ``now`` (live path);
+        returns the next boundary."""
         while now >= self._next_boundary:
-            end = self._next_boundary
-            self._sample_and_close(end)
+            self._sample_and_close(self._next_boundary)
+        return self._next_boundary
 
     def finish(self, now: float) -> None:
         """End of run: flush boundaries, then close the final partial window."""
@@ -368,13 +369,7 @@ class HealthMonitor:
 
     def _engine_sample(self, end: float) -> dict[str, Any]:
         """Read the engine state a raw trace cannot reconstruct."""
-        queue = self._queue
-        if queue is not None and self._message_event_type is not None:
-            sample: dict[str, Any] = {
-                "queue": queue.live_count(self._message_event_type)
-            }
-        else:
-            sample = {"queue": 0}
+        sample: dict[str, Any] = {"queue": self._in_flight()}
         workload = self._workload
         if workload is not None:
             sample.update(workload.health_snapshot(end))
@@ -634,8 +629,8 @@ def replay_health(
             monitor.on_deliver(
                 int(event.get("node", -1)),
                 int(event.get("source", -1)),
-                str(event.get("msg_type", "")),
                 float(event["time"]),
+                str(event.get("msg_type", "")),
             )
         elif kind == "decide":
             node = int(event.get("node", -1))

@@ -127,9 +127,9 @@ class MetricsRegistry:
     standard instruments through :meth:`bind_engine`; protocols and harnesses
     may add their own.
 
-    Sampling: the controller calls :meth:`advance` with each dispatched
-    event's timestamp; whenever the timestamp crosses one or more interval
-    boundaries, every counter and gauge is appended to the timeseries at the
+    Sampling: the controller calls :meth:`advance` with the timestamp of
+    each dispatched event that reaches the next boundary; for every interval
+    boundary crossed, every counter and gauge is appended to the timeseries at the
     boundary time (the recorded value is the state as of the last event at
     or before the boundary — no events are scheduled, nothing perturbs the
     run).  Histograms are kept as end-of-run distributions, not sampled.
@@ -211,25 +211,28 @@ class MetricsRegistry:
         if 0 <= node < len(node_bytes):
             node_bytes[node].value += wire_bytes
 
-    def on_deliver(self, latency_ms: float) -> None:
+    def on_deliver(
+        self, dest: int, source: int, now: float, kind: str, latency: float
+    ) -> None:
         """Controller hook: one delivery with the given transit latency."""
         self._delivered.value += 1
-        self._latency.observe(latency_ms)
+        self._latency.observe(latency)
 
-    def on_decide(self) -> None:
+    def on_decide(self, node: int, now: float) -> None:
         self._decisions.value += 1
 
     # -- sampling -------------------------------------------------------
 
-    def advance(self, now: float) -> None:
+    def advance(self, now: float) -> float:
         """Sample at every interval boundary crossed up to ``now``.
 
-        Called once per dispatched event; costs one comparison when no
-        boundary was crossed.
+        Returns the next boundary; the dispatch loop calls this only once
+        an event reaches it.
         """
         while now >= self._next_sample:
             self._take_sample(self._next_sample)
             self._next_sample += self.interval
+        return self._next_sample
 
     def finish(self, now: float) -> None:
         """Flush boundaries up to ``now`` and take a final end-of-run sample."""

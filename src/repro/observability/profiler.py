@@ -2,15 +2,14 @@
 
 The paper's central claims are about simulator *efficiency* (§V: events per
 second, scalability with node count).  To optimize the engine we first have
-to measure it, so the controller dispatch loop, the network module, and the
-fault engine carry opt-in timing hooks around their hot sections (queue
-pop, delay sampling, attacker hand-off, fault application, per-protocol
-``onMsgEvent``/``onTimeEvent``).
-
-The hooks are ``perf_counter`` reads guarded by a single ``is None`` branch:
-with profiling off (the default) the engine pays one pointer comparison per
-section, which the overhead benchmark
-(``benchmarks/bench_observability_overhead.py``) keeps within noise.
+to measure it, so :meth:`Profiler.bind_engine` wraps the engine's seven
+timed callables once, when the run is built: the queue's ``pop_entry``,
+every node's ``on_message``/``on_timer``, the attacker's
+``attack``/``on_timer``, the fault engine's ``apply`` and both delay
+models' ``sample_delay``/``sample_delays``.  The wrappers are instance
+attributes, so the engine calls exactly what it calls unprofiled — it holds
+no profiling branch and profiling cannot choose a code path — and an
+unprofiled run pays nothing at all.
 
 The aggregate is a :class:`RunProfile` attached to
 ``SimulationResult.profile`` — *outside* the determinism fingerprint, like
@@ -24,10 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-#: Profiler section names instrumented by the engine, in dispatch order.
-#: (Open set: callers may add their own names via :meth:`Profiler.add`.)
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.controller import Controller
+
+#: Profiler section names :meth:`Profiler.bind_engine` times, in dispatch
+#: order.  (Open set: callers may add their own names via :meth:`Profiler.add`.)
 ENGINE_SECTIONS = (
     "queue.pop",
     "network.delay",
@@ -200,18 +202,14 @@ class RunProfile:
 
 
 class Profiler:
-    """Mutable per-run accumulator behind the engine's timing hooks.
+    """Mutable per-run accumulator behind the engine's timed callables.
 
-    Usage on a hot path (note the ``is None`` guard — with no profiler the
-    engine pays one branch)::
+    The controller calls :meth:`bind_engine` once, after building the run;
+    any other hot section can be timed by hand::
 
-        prof = controller.profiler
-        if prof is None:
-            event = queue.pop()
-        else:
-            t0 = perf_counter()
-            event = queue.pop()
-            prof.add("queue.pop", t0)
+        t0 = perf_counter()
+        do_work()
+        profiler.add("my.section", t0)
     """
 
     __slots__ = ("_sections",)
@@ -228,6 +226,37 @@ class Profiler:
         else:
             cell[0] += 1
             cell[1] += elapsed
+
+    def _timed(self, name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        """``fn`` wrapped to charge each call's wall time to section ``name``."""
+        add = self.add
+
+        def timed_call(*args: Any) -> Any:
+            t0 = perf_counter()
+            result = fn(*args)
+            add(name, t0)
+            return result
+
+        return timed_call
+
+    def bind_engine(self, controller: "Controller") -> None:
+        """Wrap the engine's timed callables in place (see module docstring)."""
+        network = controller.network
+        targets: list[tuple[Any, str, str]] = [
+            (controller.queue, "pop_entry", "queue.pop"),
+            (controller.attacker, "attack", "attacker.attack"),
+            (controller.attacker, "on_timer", "attacker.timer"),
+            (controller.fault_injector, "apply", "faults.apply"),
+        ]
+        for model in (network.delay_model, network.dissemination_model):
+            targets.append((model, "sample_delay", "network.delay"))
+            targets.append((model, "sample_delays", "network.delay"))
+        for node in controller.nodes:
+            targets.append((node, "on_message", "protocol.on_message"))
+            targets.append((node, "on_timer", "protocol.on_timer"))
+        for owner, attr, section in targets:
+            if owner is not None:
+                setattr(owner, attr, self._timed(section, getattr(owner, attr)))
 
     def build(self, wall_seconds: float, events: int, sim_time_ms: float) -> RunProfile:
         """Freeze the accumulated sections into a :class:`RunProfile`."""

@@ -107,15 +107,20 @@ class LiveSignals:
     # -- controller-side updates (O(1) each) --------------------------------
 
     def on_deliver(
-        self, dest: int, source: int, time: float, msg_type: str | None = None
+        self,
+        dest: int,
+        source: int,
+        now: float,
+        kind: str | None = None,
+        latency: float = 0.0,
     ) -> None:
         self.delivered[dest] += 1
         self._handling_source[dest] = source
-        self.last_activity[dest] = time
-        if msg_type is not None:
-            per_node = self.kind_fan_in.get(msg_type)
+        self.last_activity[dest] = now
+        if kind is not None:
+            per_node = self.kind_fan_in.get(kind)
             if per_node is None:
-                per_node = self.kind_fan_in[msg_type] = [0] * self.n
+                per_node = self.kind_fan_in[kind] = [0] * self.n
             per_node[dest] += 1
 
     def on_decide(self, node: int, time: float) -> None:

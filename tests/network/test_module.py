@@ -78,6 +78,24 @@ class TestDelayAssignment:
         delays = {submit(controller).delay for _ in range(10)}
         assert len(delays) > 1
 
+    def test_forged_message_takes_the_delay_override(self):
+        def inject(self, message):
+            forged = self.ctx.forge(source=3, dest=1, payload={"type": "FAKE"})
+            # forge() ids come from a process-wide counter; keep this one
+            # clear of the run's own ids so the message reads as inserted.
+            forged.msg_id = -1
+            return [message, forged]
+
+        attacker = ScriptedAttacker(
+            Capability.OBSERVE | Capability.BYZANTINE | Capability.ADAPTIVE, inject
+        )
+        controller = controller_with(attacker, n=4)
+        controller.attacker_ctx.corrupt(3)
+        controller.network.set_delay_override(lambda message: 77.0)
+        submit(controller, source=0, dest=2)
+        delays = {m.forged: m.delay for m in pending_deliveries(controller)}
+        assert delays == {False: 77.0, True: 77.0}
+
     def test_trace_records_send(self):
         controller = controller_with(ScriptedAttacker(Capability.NONE), n=4)
         controller.trace.enabled = True

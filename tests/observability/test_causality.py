@@ -2,7 +2,8 @@
 
 Acceptance criteria pinned here (ISSUE, PR 5):
 
-* golden digests are byte-identical with lineage + metrics enabled;
+* golden digests are byte-identical with lineage (a traced run) + metrics
+  enabled;
 * for a pbft n=4 run the computed critical path ends at each decision and
   is chronological end to end;
 * quorum-formation timelines reconcile exactly with the run's
@@ -18,6 +19,7 @@ from repro.core.runner import run_simulation
 from repro.observability import (
     CausalityGraph,
     MemorySink,
+    NullSink,
     analyze_trace,
     critical_paths,
     quorum_timelines,
@@ -36,21 +38,22 @@ def _traced(protocol: str, **kwargs):
     return result, [event.to_dict() for event in sink.events()]
 
 
+def _without_causes(events):
+    """The same trace with every ``cause`` field stripped."""
+    return [{k: v for k, v in event.items() if k != "cause"} for event in events]
+
+
 class TestLineageDeterminism:
     @pytest.mark.parametrize("protocol", sorted(GOLDEN))
     def test_golden_digest_with_lineage_and_metrics(self, protocol):
         """The acceptance bar: lineage + metrics leave every golden digest
         byte-identical — the whole subsystem costs zero RNG draws and zero
-        extra events."""
+        extra events.  Causes are stamped exactly on traced runs."""
         result = run_simulation(
-            golden_config(protocol), metrics=True, lineage=True
+            golden_config(protocol), sink=NullSink(), metrics=True
         )
         assert result_fingerprint(result) == GOLDEN[protocol]
         assert result.run_metrics is not None
-
-    def test_lineage_off_matches_golden_too(self):
-        result = run_simulation(golden_config("pbft"), lineage=False)
-        assert result_fingerprint(result) == GOLDEN["pbft"]
 
 
 class TestCausalityGraph:
@@ -65,8 +68,8 @@ class TestCausalityGraph:
         assert len(graph.delivers) == delivers
 
     def test_lineage_off_yields_no_causes(self):
-        _, events = _traced("pbft", lineage=False)
-        graph = CausalityGraph.build(events)
+        _, events = _traced("pbft")
+        graph = CausalityGraph.build(_without_causes(events))
         assert not graph.has_lineage
 
 
@@ -102,8 +105,8 @@ class TestCriticalPath:
         assert all(path.complete for path in paths)
 
     def test_lineage_off_paths_are_incomplete(self):
-        _, events = _traced("pbft", lineage=False)
-        paths = critical_paths(CausalityGraph.build(events))
+        _, events = _traced("pbft")
+        paths = critical_paths(CausalityGraph.build(_without_causes(events)))
         assert paths
         assert all(not path.complete for path in paths)
         assert all(len(path.steps) == 1 for path in paths)

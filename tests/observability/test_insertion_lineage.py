@@ -98,6 +98,7 @@ class TestInsertedOrigin:
             num_decisions=1,
             seed=2022,
         )
-        plain = run_simulation(config, lineage=False)
-        lineaged = run_simulation(config, lineage=True, metrics=True)
+        # Causes are stamped exactly when the run is traced.
+        plain = run_simulation(config)
+        lineaged = run_simulation(config, sink=MemorySink(), metrics=True)
         assert result_fingerprint(plain) == result_fingerprint(lineaged)

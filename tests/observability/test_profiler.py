@@ -9,6 +9,7 @@ from time import perf_counter
 import pytest
 
 from repro.core.config import NetworkConfig, SimulationConfig
+from repro.core.events import EventQueue
 from repro.core.message import Message
 from repro.core.results import result_fingerprint
 from repro.core.runner import run_simulation
@@ -132,28 +133,72 @@ class TestProfiledRuns:
         assert "faults.apply" in result.profile.sections
 
 
+def _pbft16(mode: str = "full", **fields) -> SimulationConfig:
+    return SimulationConfig(
+        protocol="pbft", n=16, seed=5,
+        network=NetworkConfig(mean=50.0, std=10.0, dissemination=mode), **fields,
+    )
+
+
+def _faulted_workload() -> SimulationConfig:
+    """The instrumented tier: link faults plus an open-loop workload."""
+    from repro.faults import parse_faults_spec
+    from repro import WorkloadConfig
+
+    return _pbft16(
+        faults=parse_faults_spec("delay=0.2x5; duplicate=0.1"),
+        workload=WorkloadConfig(
+            arrival="poisson", rate=200.0, clients=8, duration=1000.0,
+            batch=16, batch_timeout=100.0,
+        ),
+        stall_timeout=60_000.0,
+    )
+
+
+#: Engine calls whose counts must not depend on who observes the run.
+COUNTED_CALLS = (
+    (DelayModel, "sample_delay"),
+    (DelayModel, "sample_delays"),
+    (Message, "copy_for"),
+    (EventQueue, "push"),
+    (EventQueue, "push_deliveries"),
+)
+
+OBSERVER_SETS = {
+    "profile": {"profile": True},
+    "metrics": {"metrics": True},
+    "health": {"health": True},
+    "all": {"profile": True, "metrics": True, "health": True},
+}
+
+RUNS = {
+    "full": _pbft16,
+    "tree": lambda: _pbft16("tree"),
+    "faults-workload": _faulted_workload,
+}
+
+
+def _count_calls(monkeypatch) -> Counter:
+    calls: Counter[str] = Counter()
+    for owner, name in COUNTED_CALLS:
+        raw = getattr(owner, name)
+
+        def counted(*args, _raw=raw, _name=name, **kwargs):
+            calls[_name] += 1
+            return _raw(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestNoObserverEffect:
-    """The profiler times the benign fast tiers; it never switches them off."""
+    """No observer switches a code path: the profiler times the benign fast
+    tiers rather than turning them off, and the event observers only listen."""
 
     @pytest.mark.parametrize("mode", ["full", "tree"])
     def test_profiling_runs_the_same_code_path(self, mode, monkeypatch):
-        calls: Counter[str] = Counter()
-        for owner, name in (
-            (DelayModel, "sample_delay"),
-            (DelayModel, "sample_delays"),
-            (Message, "copy_for"),
-        ):
-            raw = getattr(owner, name)
-
-            def counted(*args, _raw=raw, _name=name, **kwargs):
-                calls[_name] += 1
-                return _raw(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
-        config = SimulationConfig(
-            protocol="pbft", n=16, seed=5,
-            network=NetworkConfig(mean=50.0, std=10.0, dissemination=mode),
-        )
+        calls = _count_calls(monkeypatch)
+        config = _pbft16(mode)
         plain = run_simulation(config)
         plain_calls = dict(calls)
         calls.clear()
@@ -168,6 +213,20 @@ class TestNoObserverEffect:
             plain_calls["sample_delays"] + plain_calls.get("sample_delay", 0)
         )
         assert "attacker.attack" not in sections
+
+    @pytest.mark.parametrize("observers", sorted(OBSERVER_SETS))
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_observers_run_the_same_code_path(self, run, observers, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        config = RUNS[run]()
+        plain = run_simulation(config)
+        plain_calls = dict(calls)
+        calls.clear()
+        observed = run_simulation(config, **OBSERVER_SETS[observers])
+        assert result_fingerprint(observed) == result_fingerprint(plain)
+        assert observed.events_processed == plain.events_processed
+        assert dict(calls) == plain_calls
+        assert plain_calls["push"] > 0
 
 
 class TestParallelProfileMerge:
